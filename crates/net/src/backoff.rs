@@ -136,6 +136,12 @@ impl Retrier {
         self.backoff.attempts()
     }
 
+    /// When the next attempt is allowed (`None`: right now). An event
+    /// loop uses it to bound how long it may block.
+    pub fn next_at(&self) -> Option<Instant> {
+        self.next_at
+    }
+
     /// Synchronous retry loop for a blocking resource (the WAL
     /// fsync/reopen path): runs `f` until it succeeds or the attempt
     /// budget dies, sleeping each backoff delay in between. Returns the
@@ -274,14 +280,18 @@ mod tests {
     fn retrier_paces_dies_and_resets() {
         let mut r = Retrier::new(Duration::from_micros(10), Duration::from_micros(100), 3, 2);
         assert!(r.ready());
+        assert_eq!(r.next_at(), None);
+        let before = Instant::now();
         assert!(!r.failure(), "first failure must not exhaust a 2-budget");
         assert_eq!(r.attempts(), 1);
+        assert!(r.next_at().is_some_and(|t| t > before));
         assert!(r.failure(), "second failure exhausts the budget");
         assert!(r.is_dead());
         assert!(!r.ready());
         r.success();
         assert!(!r.is_dead());
         assert_eq!(r.attempts(), 0);
+        assert_eq!(r.next_at(), None);
         assert!(r.ready());
         // Unbounded budget never dies.
         let mut open = Retrier::new(Duration::from_micros(1), Duration::from_micros(2), 9, 0);

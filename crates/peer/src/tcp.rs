@@ -1,6 +1,6 @@
 //! The real-socket driver: the same sans-IO [`PeerNode`]s the
 //! simulator and the [`ThreadedCluster`](crate::cluster::ThreadedCluster)
-//! run, each on its own OS thread behind a real TCP listener, talking
+//! run, each behind its own real TCP listener, talking
 //! [`wire`](crate::wire) frames wrapped in the length-prefixed
 //! [`framing`](crate::framing) grammar over loopback (or any) sockets.
 //!
@@ -9,6 +9,12 @@
 //! TCP gives a real deployment — and fills the gap the way a real
 //! deployment would (DESIGN.md §11):
 //!
+//! * **Hosting.** At most one host thread per available core, each a
+//!   `poll(2)` readiness loop multiplexing many peers (peer `i` on loop
+//!   `i % L`). A loop blocks until one of its sockets is ready or a
+//!   watch, reconnect or drain deadline is due, so an idle cluster
+//!   costs no CPU and a frame is handled the moment it lands. A panic
+//!   in one peer's protocol core takes down that peer alone.
 //! * **Framing.** A connection is a byte stream; each encoded frame
 //!   travels behind a 4-byte length prefix and an incremental
 //!   [`FrameDecoder`] reassembles it regardless of how the kernel
@@ -22,7 +28,8 @@
 //!   frame for it, and a failed connect or dropped connection moves the
 //!   link to a jittered exponential-backoff [`Retrier`] before the next
 //!   attempt. Replies travel on the *replier's* own outbound link,
-//!   never back down the inbound connection.
+//!   never back down the inbound connection — also between peers that
+//!   share a host loop.
 //! * **Backpressure.** Write queues are bounded and drop-newest: a slow
 //!   or dead destination costs the sender a counter
 //!   ([`SocketStats::dropped_backpressure`]), never a blocked protocol
@@ -49,6 +56,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::raw::c_int;
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -64,6 +75,54 @@ use crate::framing::{encode_frame, FrameDecoder};
 use crate::node::{Directory, Effect, PeerNode, RetryPolicy};
 use crate::peer::Peer;
 use crate::wire::Frame;
+
+use sys::{PollFd, POLLIN, POLLOUT};
+
+/// `poll(2)`, declared against the C library: the one system call the
+/// host loops block in.
+mod sys {
+    use std::os::raw::{c_int, c_short};
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until a descriptor in `fds` is ready or `timeout_ms`
+    /// passes (-1: no timeout), filling in each `revents`. An
+    /// interrupted or failed call reports nothing ready; the caller's
+    /// loop just goes round again.
+    pub fn wait(fds: &mut [PollFd], timeout_ms: c_int) {
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // `struct pollfd`s and `nfds` is its length, so the kernel reads
+        // and writes only inside it, and only during the call.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+        if rc < 0 {
+            for f in fds {
+                f.revents = 0;
+            }
+        }
+    }
+}
+
+/// How long a stopping peer may spend flushing its outbound queues
+/// after its drain window closes, before it abandons the rest.
+const FINAL_FLUSH: Duration = Duration::from_millis(200);
 
 /// Tuning knobs for a [`TcpCluster`]. The defaults suit loopback
 /// clusters from a handful to several hundred peers.
@@ -81,14 +140,12 @@ pub struct TcpConfig {
     pub backoff_base: Duration,
     /// Reconnect delay ceiling.
     pub backoff_cap: Duration,
-    /// Budget for one blocking connect attempt.
+    /// Budget for one blocking connect attempt. The connect blocks the
+    /// connecting peer's whole host loop, so keep it short.
     pub connect_timeout: Duration,
     /// How long a stopping peer keeps listening for stragglers after
     /// the last frame it processed (the shutdown drain window).
     pub drain_quiet: Duration,
-    /// Modeled per-envelope service time for `mqp` frames (mirrors
-    /// `ThreadedCluster::with_config`).
-    pub service_delay: Duration,
     /// Seed decorrelating reconnect jitter across links.
     pub seed: u64,
 }
@@ -103,7 +160,6 @@ impl Default for TcpConfig {
             backoff_cap: Duration::from_millis(250),
             connect_timeout: Duration::from_millis(100),
             drain_quiet: Duration::from_millis(50),
-            service_delay: Duration::ZERO,
             seed: 0x5eed_50c7,
         }
     }
@@ -111,8 +167,8 @@ impl Default for TcpConfig {
 
 /// Where each node is listening *right now*. Slots go empty when a peer
 /// is killed and are republished (with a fresh port) on restart, so
-/// connectors always dial the current incarnation. Shared by every peer
-/// thread and the client — this is addressing configuration, the
+/// connectors always dial the current incarnation. Shared by every host
+/// loop and the client — this is addressing configuration, the
 /// socket-world analogue of the threaded mesh's channel vector.
 #[derive(Clone)]
 pub struct AddrTable {
@@ -134,9 +190,10 @@ impl AddrTable {
         *self.slots[node].lock().unwrap() = None;
     }
 
-    /// The node's current listen address, if it is up.
+    /// The node's current listen address, if it is up. A node id no
+    /// cluster slot holds (a hello may claim any) is never up.
     pub fn get(&self, node: NodeId) -> Option<SocketAddr> {
-        *self.slots[node].lock().unwrap()
+        *self.slots.get(node)?.lock().unwrap()
     }
 }
 
@@ -190,6 +247,35 @@ enum Ctl {
     Stop,
 }
 
+/// What every peer on one host loop shares.
+struct Shared {
+    addrs: AddrTable,
+    outcomes: Sender<QueryOutcome>,
+    stats: Arc<Counters>,
+    cfg: TcpConfig,
+    epoch: Instant,
+}
+
+impl Shared {
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+}
+
+/// One non-blocking write: `Ok(None)` when the socket would block,
+/// `Err(())` when the connection is gone.
+fn try_write(stream: &mut TcpStream, buf: &[u8]) -> Result<Option<usize>, ()> {
+    loop {
+        match stream.write(buf) {
+            Ok(0) => return Err(()),
+            Ok(n) => return Ok(Some(n)),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return Err(()),
+        }
+    }
+}
+
 /// One lazy outbound connection to a fixed destination, with its
 /// bounded write queue and reconnect state.
 struct Link {
@@ -206,13 +292,37 @@ struct Link {
     cursor: usize,
 }
 
-/// An established outbound connection. `hello` flushes before anything
-/// queued — it is transport-internal, so it counts in `bytes_sent` but
-/// never in the frame identity.
+/// An established outbound connection. The peer's `hello` flushes
+/// before anything queued — it is transport-internal, so it counts in
+/// `bytes_sent` but never in the frame identity.
 struct Conn {
     stream: TcpStream,
-    hello: Vec<u8>,
-    hello_cursor: usize,
+    hello_sent: usize,
+    /// False from a write that would block until `poll` reports the
+    /// socket writable again; while false the link polls for `POLLOUT`.
+    writable: bool,
+}
+
+impl Conn {
+    /// The EOF probe before each flush. The destination never sends
+    /// application data on our outbound connection, so the read
+    /// resolves to "still up" (WouldBlock) or "gone" (EOF / error).
+    /// Idle outbound connections stay out of the poll set — there are
+    /// as many of them as inbound ones, so polling them would double
+    /// the cost of every `poll` — and a dead destination is noticed
+    /// here, before the next frame is written into the void.
+    fn alive(&mut self) -> bool {
+        let mut sink = [0u8; 256];
+        loop {
+            match self.stream.read(&mut sink) {
+                Ok(0) => return false,
+                Ok(_) => continue, // stray bytes: ignore, it is our send channel
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+    }
 }
 
 impl Link {
@@ -231,111 +341,92 @@ impl Link {
         }
     }
 
-    /// Connect if needed, then flush. Returns true on real progress
-    /// (connected, bytes moved); failures schedule a retry and return
-    /// false so the event loop can idle.
-    fn advance(
-        &mut self,
-        addrs: &AddrTable,
-        cfg: &TcpConfig,
-        stats: &Counters,
-        hello: &[u8],
-    ) -> bool {
+    /// If a frame is waiting: connects when the backoff allows, then
+    /// flushes as far as the socket takes.
+    fn advance(&mut self, sh: &Shared, hello: &[u8]) {
         if self.retry.is_dead() || self.queue.is_empty() {
-            return false;
+            return;
         }
-        if self.conn.is_none() {
-            if !self.retry.ready() {
-                return false;
-            }
-            let Some(addr) = addrs.get(self.to) else {
-                // Destination is down (no published listener): that is a
-                // failed attempt too, otherwise an addr-less link would
-                // spin without ever backing off or going dead.
-                Counters::add(&stats.disconnects, 1);
-                self.note_failure(stats);
-                return false;
-            };
-            match TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    stream.set_nonblocking(true).expect("set_nonblocking");
-                    Counters::add(&stats.connects, 1);
-                    self.retry.success();
-                    self.cursor = 0;
-                    self.conn = Some(Conn {
-                        stream,
-                        hello: hello.to_vec(),
-                        hello_cursor: 0,
-                    });
-                }
-                Err(_) => {
-                    Counters::add(&stats.disconnects, 1);
-                    self.note_failure(stats);
-                    return false;
-                }
-            }
+        if self.conn.is_none() && !self.connect(sh) {
+            return;
         }
-        match self.pump(stats) {
-            Ok(progressed) => progressed,
-            Err(()) => {
-                self.drop_conn(stats);
-                true
-            }
+        if self.pump(&sh.stats, hello).is_err() {
+            self.drop_conn(&sh.stats);
         }
     }
 
-    /// Flushes hello then queued frames onto the live connection.
-    /// `Err(())` means the connection died (EOF, reset, write error).
-    fn pump(&mut self, stats: &Counters) -> Result<bool, ()> {
-        let conn = self.conn.as_mut().expect("pump without connection");
-        let mut progressed = false;
-        // EOF probe: the destination never sends application data on
-        // our outbound connection, so any read resolves to "still up"
-        // (WouldBlock) or "gone" (EOF / error).
-        let mut probe = [0u8; 256];
-        loop {
-            match conn.stream.read(&mut probe) {
-                Ok(0) => return Err(()),
-                Ok(_) => continue, // stray bytes: ignore, it is our send channel
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
+    /// One blocking connect attempt, if the backoff allows one now.
+    fn connect(&mut self, sh: &Shared) -> bool {
+        if !self.retry.ready() {
+            return false;
         }
-        while conn.hello_cursor < conn.hello.len() {
-            match conn.stream.write(&conn.hello[conn.hello_cursor..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    conn.hello_cursor += n;
-                    Counters::add(&stats.bytes_sent, n as u64);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(progressed),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
+        // A destination that is down (no published listener) is a
+        // failed attempt too, otherwise an addr-less link would spin
+        // without ever backing off or going dead. So is a connection
+        // that cannot be made non-blocking: the loop must never block
+        // on it.
+        let stream = sh
+            .addrs
+            .get(self.to)
+            .and_then(|addr| TcpStream::connect_timeout(&addr, sh.cfg.connect_timeout).ok())
+            .filter(|s| s.set_nonblocking(true).is_ok());
+        let Some(stream) = stream else {
+            Counters::add(&sh.stats.disconnects, 1);
+            self.note_failure(&sh.stats);
+            return false;
+        };
+        stream.set_nodelay(true).ok();
+        Counters::add(&sh.stats.connects, 1);
+        self.retry.success();
+        self.cursor = 0;
+        self.conn = Some(Conn {
+            stream,
+            hello_sent: 0,
+            writable: true,
+        });
+        true
+    }
+
+    /// Flushes hello then queued frames until done or the socket would
+    /// block. `Err(())` means the connection died (EOF, reset, write
+    /// error).
+    fn pump(&mut self, stats: &Counters, hello: &[u8]) -> Result<(), ()> {
+        let Some(conn) = self.conn.as_mut().filter(|c| c.writable) else {
+            return Ok(());
+        };
+        if !conn.alive() {
+            return Err(());
+        }
+        while conn.hello_sent < hello.len() {
+            let Some(n) = try_write(&mut conn.stream, &hello[conn.hello_sent..])? else {
+                conn.writable = false;
+                return Ok(());
+            };
+            conn.hello_sent += n;
+            Counters::add(&stats.bytes_sent, n as u64);
         }
         while let Some(front) = self.queue.front() {
-            match conn.stream.write(&front[self.cursor..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    self.cursor += n;
-                    Counters::add(&stats.bytes_sent, n as u64);
-                    progressed = true;
-                    if self.cursor == front.len() {
-                        self.queue.pop_front();
-                        self.cursor = 0;
-                        Counters::add(&stats.frames_sent, 1);
-                        stats.queued.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
+            let Some(n) = try_write(&mut conn.stream, &front[self.cursor..])? else {
+                conn.writable = false;
+                return Ok(());
+            };
+            self.cursor += n;
+            Counters::add(&stats.bytes_sent, n as u64);
+            if self.cursor == front.len() {
+                self.queue.pop_front();
+                self.cursor = 0;
+                Counters::add(&stats.frames_sent, 1);
+                stats.queued.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        Ok(progressed)
+        Ok(())
+    }
+
+    /// When the link next needs its loop without a socket event: the
+    /// reconnect time, while a frame waits for a connection.
+    fn deadline(&self) -> Option<Instant> {
+        (self.conn.is_none() && !self.queue.is_empty() && !self.retry.is_dead())
+            .then(|| self.retry.next_at().unwrap_or_else(Instant::now))
     }
 
     fn drop_conn(&mut self, stats: &Counters) {
@@ -376,102 +467,186 @@ struct Inbound {
     stream: TcpStream,
     decoder: FrameDecoder,
     from: Option<NodeId>,
+    /// `poll` reported it readable (or it was just accepted).
+    ready: bool,
 }
 
-/// Everything one peer thread owns: the protocol core plus its sockets.
-struct PeerThread {
+impl Inbound {
+    /// Reads what the socket holds and decodes every complete frame
+    /// into `frames`, attributed to the hello's sender. Returns false
+    /// when the connection is finished: EOF, a read error, a first
+    /// frame that is not a hello, or a corrupt length prefix (the
+    /// decoder refuses to resynchronize, so the only safe move is to
+    /// cut the connection and let retries re-cover).
+    fn pull(
+        &mut self,
+        buf: &mut [u8],
+        stats: &Counters,
+        frames: &mut Vec<(NodeId, Vec<u8>)>,
+    ) -> bool {
+        let mut alive = true;
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => {
+                    alive = false;
+                    break;
+                }
+                Ok(n) => {
+                    Counters::add(&stats.bytes_received, n as u64);
+                    self.decoder.push(&buf[..n]);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    alive = false;
+                    break;
+                }
+            }
+        }
+        loop {
+            match self.decoder.next() {
+                Ok(Some(payload)) => {
+                    Counters::add(&stats.frames_received, 1);
+                    match self.from {
+                        Some(from) => frames.push((from, payload)),
+                        None => match Frame::decode(&payload) {
+                            Ok(Frame::Hello { node, .. }) => self.from = Some(node),
+                            _ => return false,
+                        },
+                    }
+                }
+                Ok(None) => return alive,
+                Err(_) => return false,
+            }
+        }
+    }
+}
+
+/// Where a hosted peer is in its life.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Listening, reading, ticking.
+    Up,
+    /// Killed, or brought down by a panic: no sockets, protocol state
+    /// kept for a restart.
+    Down,
+    /// A stop was seen: still serving, until no frame has arrived for
+    /// `drain_quiet` since `last`.
+    Draining { last: Instant },
+    /// The drain window closed: flushing outbound queues until `until`,
+    /// reading nothing.
+    Flushing { until: Instant },
+    /// Stopped for good.
+    Done,
+}
+
+/// One peer on a host loop: the protocol core plus its sockets.
+struct Hosted {
     node: PeerNode,
     me: NodeId,
-    addrs: AddrTable,
-    ctl: Receiver<Ctl>,
-    outcomes: Sender<QueryOutcome>,
-    stats: Arc<Counters>,
-    cfg: TcpConfig,
     /// Pre-framed hello announcing this peer, sent first on every
     /// outbound connection.
     hello: Vec<u8>,
-    epoch: Instant,
     listener: Option<TcpListener>,
+    /// `poll` reported the listener readable.
+    accept_ready: bool,
     inbound: Vec<Inbound>,
     links: HashMap<NodeId, Link>,
     /// Self-sends: effects addressed to this very node short-circuit
     /// here instead of dialing our own listener.
     local: VecDeque<Vec<u8>>,
-    down: bool,
-    stopping: bool,
-    last_activity: Instant,
+    state: State,
 }
 
-impl PeerThread {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+impl Hosted {
+    fn serving(&self) -> bool {
+        matches!(self.state, State::Up | State::Draining { .. })
     }
 
-    fn run(mut self) {
-        // Consecutive no-progress iterations; ramps the idle sleep so a
-        // soak's worth of mostly-idle peers doesn't saturate a small
-        // machine with kilohertz polling, while a busy peer still spins
-        // at full speed.
-        let mut idle_streak: u64 = 0;
-        loop {
-            let mut progressed = false;
-            loop {
-                match self.ctl.try_recv() {
-                    Ok(Ctl::Kill) => {
-                        self.go_down();
-                        progressed = true;
-                    }
-                    Ok(Ctl::Restart) => {
-                        self.come_up();
-                        progressed = true;
-                    }
-                    Ok(Ctl::Stop) => {
-                        self.begin_stop();
-                        progressed = true;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        // The cluster handle is gone: nothing can ever
-                        // restart or stop us cleanly, so drain and exit.
-                        if !self.stopping {
-                            self.begin_stop();
-                        }
-                        break;
-                    }
+    /// One pass of the loop over this peer: accept and read what
+    /// `poll` flagged, fire due watches, deliver self-sends, move links
+    /// along, and advance the stop sequence. Returns the earliest
+    /// instant the peer needs the loop again without a socket event.
+    fn step(&mut self, sh: &Shared) -> Option<Instant> {
+        if self.serving() {
+            self.accept_new(&sh.stats);
+            self.read_inbound(sh);
+            if let Some(due) = self.node.next_deadline() {
+                let now = sh.now_us();
+                if due <= now {
+                    self.guarded(sh, |node| node.on_tick(now));
                 }
-            }
-            if self.down {
-                if self.stopping {
-                    return; // nothing to drain: links died at kill
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
             }
             while let Some(bytes) = self.local.pop_front() {
-                progressed = true;
-                self.dispatch(self.me, &bytes);
+                self.dispatch(self.me, &bytes, sh);
             }
-            progressed |= self.accept_new();
-            progressed |= self.read_inbound();
-            progressed |= self.advance_links();
-            let now = self.now_us();
-            if self.node.next_deadline().is_some_and(|d| d <= now) {
-                let effects = self.node.on_tick(now);
-                self.apply(effects);
-                progressed = true;
+        }
+        for link in self.links.values_mut() {
+            link.advance(sh, &self.hello);
+        }
+        match self.state {
+            State::Down | State::Done => return None,
+            State::Draining { last } if Instant::now() >= last + sh.cfg.drain_quiet => {
+                self.state = State::Flushing {
+                    until: Instant::now() + FINAL_FLUSH,
+                };
             }
-            if self.stopping
-                && self.local.is_empty()
-                && self.last_activity.elapsed() >= self.cfg.drain_quiet
-            {
-                self.finish();
-                return;
+            _ => {}
+        }
+        if let State::Flushing { until } = self.state {
+            if Instant::now() >= until || self.links.values().all(|l| l.queue.is_empty()) {
+                self.go_down(sh);
+                return None;
             }
-            if progressed {
-                idle_streak = 0;
-            } else {
-                idle_streak += 1;
-                std::thread::sleep(Duration::from_micros((500 * idle_streak).min(5_000)));
+        }
+        self.deadline(sh)
+    }
+
+    /// The earliest instant this peer needs its loop without a socket
+    /// event: a watch falling due, a link's reconnect, or the end of
+    /// the drain window or of the final flush.
+    fn deadline(&self, sh: &Shared) -> Option<Instant> {
+        let own = match self.state {
+            State::Draining { last } => Some(last + sh.cfg.drain_quiet),
+            State::Flushing { until } => Some(until),
+            State::Up | State::Down | State::Done => None,
+        };
+        let watch = self
+            .node
+            .next_deadline()
+            .filter(|_| self.serving())
+            .map(|us| sh.epoch + Duration::from_micros(us));
+        self.links
+            .values()
+            .filter_map(Link::deadline)
+            .chain(own)
+            .chain(watch)
+            .min()
+    }
+
+    /// Adds this peer's sockets to its loop's poll set, each tagged
+    /// with where `poll`'s answer goes back to (`p`: this peer's index
+    /// on the loop).
+    fn register(&self, p: usize, fds: &mut Vec<PollFd>, slots: &mut Vec<Slot>) {
+        let mut push = |fd: c_int, events, slot| {
+            fds.push(PollFd {
+                fd,
+                events,
+                revents: 0,
+            });
+            slots.push(slot);
+        };
+        if self.serving() {
+            if let Some(listener) = &self.listener {
+                push(listener.as_raw_fd(), POLLIN, Slot::Listener(p));
+            }
+            for (k, ib) in self.inbound.iter().enumerate() {
+                push(ib.stream.as_raw_fd(), POLLIN, Slot::Inbound(p, k));
+            }
+        }
+        for (&to, link) in &self.links {
+            if let Some(conn) = link.conn.as_ref().filter(|c| !c.writable) {
+                push(conn.stream.as_raw_fd(), POLLOUT, Slot::Link(p, to));
             }
         }
     }
@@ -479,28 +654,16 @@ impl PeerThread {
     /// A stop was seen (framed from the front-end, or out-of-band).
     /// Restart the quiet clock so the peer keeps draining stragglers
     /// for at least `drain_quiet` — this is the ordering guarantee that
-    /// no outcome already in flight is lost at teardown.
-    fn begin_stop(&mut self) {
-        self.stopping = true;
-        self.last_activity = Instant::now();
-    }
-
-    /// Final flush: give outbound queues a bounded chance to empty,
-    /// then abandon the rest and account for it.
-    fn finish(&mut self) {
-        let deadline = Instant::now() + Duration::from_millis(200);
-        loop {
-            let mut pending = false;
-            for link in self.links.values_mut() {
-                link.advance(&self.addrs, &self.cfg, &self.stats, &self.hello);
-                pending |= !link.queue.is_empty();
-            }
-            if !pending || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        self.go_down();
+    /// no outcome already in flight is lost at teardown. A down peer
+    /// has nothing to drain.
+    fn stop(&mut self) {
+        self.state = match self.state {
+            State::Up | State::Draining { .. } => State::Draining {
+                last: Instant::now(),
+            },
+            State::Down => State::Done,
+            other => other,
+        };
     }
 
     /// Network interface down: listener closed, address unpublished,
@@ -508,217 +671,332 @@ impl PeerThread {
     /// `PeerNode` — store, catalog, and retry watches — is untouched,
     /// exactly like the simulator's `fail`; a durable peer additionally
     /// loses its in-memory catalog to `PeerNode::crash` (process
-    /// death), leaving only what its disk carries.
-    fn go_down(&mut self) {
-        self.addrs.unpublish(self.me);
+    /// death), leaving only what its disk carries. A stopping peer is
+    /// then done.
+    fn go_down(&mut self, sh: &Shared) {
+        sh.addrs.unpublish(self.me);
         self.listener = None;
+        self.accept_ready = false;
         self.inbound.clear();
         for (_, mut link) in self.links.drain() {
-            link.abandon(&self.stats);
+            link.abandon(&sh.stats);
         }
         self.local.clear();
-        self.node.crash();
-        self.down = true;
+        // A node that just panicked may panic again here; it goes down
+        // either way, and its loop-mates must not.
+        let _ = catch_unwind(AssertUnwindSafe(|| self.node.crash()));
+        self.state = match self.state {
+            State::Up | State::Down => State::Down,
+            _ => State::Done,
+        };
     }
 
     /// Interface back up, on a fresh port. Watches that expired while
     /// down fire on the first tick after this. A durable peer first
     /// replays its WAL through `PeerNode::recover`; the resulting
     /// `rereg` frames flow through the normal enqueue path, so they
-    /// enter the `SocketStats` identity like any other frame.
-    fn come_up(&mut self) {
-        if !self.down {
+    /// enter the `SocketStats` identity like any other frame. A failed
+    /// rebind leaves the peer down.
+    fn come_up(&mut self, sh: &Shared) {
+        if self.state != State::Down {
             return;
         }
-        let listener = TcpListener::bind("127.0.0.1:0").expect("rebind listener");
-        listener
+        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+            return;
+        };
+        let Ok(addr) = listener
             .set_nonblocking(true)
-            .expect("nonblocking listener");
-        self.addrs
-            .publish(self.me, listener.local_addr().expect("listener addr"));
+            .and_then(|()| listener.local_addr())
+        else {
+            return;
+        };
+        sh.addrs.publish(self.me, addr);
         self.listener = Some(listener);
-        self.down = false;
-        let now = self.now_us();
-        let effects = self.node.recover(now);
-        self.apply(effects);
+        self.state = State::Up;
+        let now = sh.now_us();
+        self.guarded(sh, |node| node.recover(now));
     }
 
-    fn accept_new(&mut self) -> bool {
+    fn accept_new(&mut self, stats: &Counters) {
+        if !std::mem::take(&mut self.accept_ready) {
+            return;
+        }
         let Some(listener) = &self.listener else {
-            return false;
+            return;
         };
-        let mut any = false;
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    stream.set_nonblocking(true).expect("nonblocking conn");
+                    if stream.set_nonblocking(true).is_err() {
+                        Counters::add(&stats.disconnects, 1);
+                        continue;
+                    }
                     stream.set_nodelay(true).ok();
+                    // Read at once: the hello is usually there already.
                     self.inbound.push(Inbound {
                         stream,
                         decoder: FrameDecoder::new(),
                         from: None,
+                        ready: true,
                     });
-                    any = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        any
     }
 
-    fn read_inbound(&mut self) -> bool {
-        let mut progressed = false;
-        let mut frames: Vec<(NodeId, Vec<u8>)> = Vec::new();
-        let mut i = 0;
-        while i < self.inbound.len() {
-            let mut dead = false;
-            let mut buf = [0u8; 16384];
-            loop {
-                match self.inbound[i].stream.read(&mut buf) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        progressed = true;
-                        Counters::add(&self.stats.bytes_received, n as u64);
-                        self.inbound[i].decoder.push(&buf[..n]);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            loop {
-                match self.inbound[i].decoder.next() {
-                    Ok(Some(payload)) => {
-                        Counters::add(&self.stats.frames_received, 1);
-                        match self.inbound[i].from {
-                            None => match Frame::decode(&payload) {
-                                // First frame on a connection must be the
-                                // hello that attributes the rest.
-                                Ok(Frame::Hello { node, .. }) => {
-                                    self.inbound[i].from = Some(node);
-                                }
-                                _ => {
-                                    dead = true;
-                                    break;
-                                }
-                            },
-                            Some(from) => frames.push((from, payload)),
-                        }
-                    }
-                    Ok(None) => break,
-                    // Corrupt length prefix: the decoder refuses to
-                    // resynchronize, so the only safe move is to cut the
-                    // connection and let retries re-cover.
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                self.inbound.swap_remove(i);
-                progressed = true;
-            } else {
-                i += 1;
-            }
+    fn read_inbound(&mut self, sh: &Shared) {
+        if !self.inbound.iter().any(|ib| ib.ready) {
+            return;
         }
+        let mut frames = Vec::new();
+        let mut buf = [0u8; 16384];
+        self.inbound.retain_mut(|ib| {
+            !std::mem::take(&mut ib.ready) || ib.pull(&mut buf, &sh.stats, &mut frames)
+        });
         for (from, payload) in frames {
-            progressed = true;
-            self.dispatch(from, &payload);
-        }
-        progressed
-    }
-
-    fn advance_links(&mut self) -> bool {
-        let mut progressed = false;
-        for link in self.links.values_mut() {
-            progressed |= link.advance(&self.addrs, &self.cfg, &self.stats, &self.hello);
-        }
-        progressed
-    }
-
-    fn dispatch(&mut self, from: NodeId, bytes: &[u8]) {
-        self.last_activity = Instant::now();
-        match Frame::kind(bytes) {
-            "stop" => self.begin_stop(),
-            kind => {
-                if kind == "mqp" && !self.cfg.service_delay.is_zero() {
-                    std::thread::sleep(self.cfg.service_delay);
-                }
-                let now = self.now_us();
-                let effects = self.node.on_message(from, bytes, now);
-                self.apply(effects);
+            if !self.serving() {
+                break; // a frame in this batch brought the peer down
             }
+            self.dispatch(from, &payload, sh);
         }
     }
 
-    fn apply(&mut self, effects: Vec<Effect>) {
+    fn dispatch(&mut self, from: NodeId, bytes: &[u8], sh: &Shared) {
+        if let State::Draining { last } = &mut self.state {
+            *last = Instant::now();
+        }
+        if Frame::kind(bytes) == "stop" {
+            self.stop();
+            return;
+        }
+        let now = sh.now_us();
+        self.guarded(sh, |node| node.on_message(from, bytes, now));
+    }
+
+    /// Runs one protocol step and applies its effects. A panic in the
+    /// step (`PeerNode` still panics on some malformed input) takes
+    /// this peer down exactly like a kill; its loop-mates keep serving.
+    fn guarded(&mut self, sh: &Shared, step: impl FnOnce(&mut PeerNode) -> Vec<Effect>) {
+        let node = &mut self.node;
+        match catch_unwind(AssertUnwindSafe(|| step(node))) {
+            Ok(effects) => self.apply(effects, sh),
+            Err(_) => self.go_down(sh),
+        }
+    }
+
+    fn apply(&mut self, effects: Vec<Effect>, sh: &Shared) {
         for effect in effects {
             match effect {
-                Effect::Send { to, bytes } => self.enqueue(to, bytes),
-                Effect::Ack { to, qid } => self.enqueue(to, Frame::Ack { qid }.encode()),
+                Effect::Send { to, bytes } => self.enqueue(to, bytes, sh),
+                Effect::Ack { to, qid } => self.enqueue(to, Frame::Ack { qid }.encode(), sh),
                 Effect::Complete(outcome) => {
-                    let _ = self.outcomes.send(outcome);
+                    let _ = sh.outcomes.send(outcome);
                 }
                 Effect::Retried { .. } => {
-                    Counters::add(&self.stats.retries, 1);
+                    Counters::add(&sh.stats.retries, 1);
                 }
                 // The node's watch list is the timer state; the loop
-                // polls `next_deadline`. Registrations and recovery
+                // reads `next_deadline`. Registrations and recovery
                 // reports are already applied peer-side.
                 Effect::SetTimer { .. } | Effect::Register(_) | Effect::Recovered(_) => {}
             }
         }
     }
 
-    fn enqueue(&mut self, to: NodeId, bytes: Vec<u8>) {
+    /// Queues a frame; the loop flushes it later in the same pass.
+    fn enqueue(&mut self, to: NodeId, bytes: Vec<u8>, sh: &Shared) {
+        let stats = &sh.stats;
         if to == self.me {
-            Counters::add(&self.stats.frames_local, 1);
+            Counters::add(&stats.frames_local, 1);
             self.local.push_back(bytes);
             return;
         }
         let link = self
             .links
             .entry(to)
-            .or_insert_with(|| Link::new(to, &self.cfg, self.me));
+            .or_insert_with(|| Link::new(to, &sh.cfg, self.me));
         // Every frame handed to the transport counts as enqueued, even
         // the ones dropped on the spot — that is what makes the balance
         // identity an identity.
-        Counters::add(&self.stats.frames_enqueued, 1);
+        Counters::add(&stats.frames_enqueued, 1);
         if link.retry.is_dead() {
-            Counters::add(&self.stats.dropped_disconnected, 1);
+            Counters::add(&stats.dropped_disconnected, 1);
             return;
         }
-        if link.queue.len() >= self.cfg.write_queue_cap {
-            Counters::add(&self.stats.dropped_backpressure, 1);
+        if link.queue.len() >= sh.cfg.write_queue_cap {
+            Counters::add(&stats.dropped_backpressure, 1);
             return;
         }
-        Counters::add(&self.stats.queued, 1);
+        Counters::add(&stats.queued, 1);
         link.queue.push_back(encode_frame(&bytes));
     }
 }
 
-/// A population of peers on real OS threads and real TCP sockets: one
-/// worker thread per peer, each behind its own loopback listener, plus
-/// a connected [`TcpClient`] front-end at slot `n`.
+/// What a poll-set entry belongs to: the loop's wake socket, or a
+/// hosted peer's (by index on the loop) listener, inbound connection
+/// (by index) or outbound link (by destination).
+#[derive(Clone, Copy)]
+enum Slot {
+    Wake,
+    Listener(usize),
+    Inbound(usize, usize),
+    Link(usize, NodeId),
+}
+
+/// One host thread: every peer `i` with `i % L == k`, multiplexed over
+/// one `poll(2)` set.
+struct Loop {
+    peers: Vec<Hosted>,
+    /// Control messages, by peer index on this loop.
+    ctl: Receiver<(usize, Ctl)>,
+    /// Read end of the wake socket the cluster writes a byte to after
+    /// each control message; `None` once the cluster handle is gone.
+    wake: Option<UnixStream>,
+    sh: Shared,
+    /// The poll set, rebuilt every pass, and where each entry belongs.
+    fds: Vec<PollFd>,
+    slots: Vec<Slot>,
+}
+
+impl Loop {
+    fn run(mut self) {
+        loop {
+            self.control();
+            let deadline = self
+                .peers
+                .iter_mut()
+                .filter_map(|peer| peer.step(&self.sh))
+                .min();
+            if self.peers.iter().all(|peer| peer.state == State::Done) {
+                return;
+            }
+            self.fds.clear();
+            self.slots.clear();
+            if let Some(wake) = &self.wake {
+                self.fds.push(PollFd {
+                    fd: wake.as_raw_fd(),
+                    events: POLLIN,
+                    revents: 0,
+                });
+                self.slots.push(Slot::Wake);
+            }
+            for (p, peer) in self.peers.iter().enumerate() {
+                peer.register(p, &mut self.fds, &mut self.slots);
+            }
+            sys::wait(&mut self.fds, timeout_ms(deadline));
+            self.mark_ready();
+        }
+    }
+
+    /// Applies pending kill/restart/stop messages.
+    fn control(&mut self) {
+        loop {
+            match self.ctl.try_recv() {
+                Ok((p, ctl)) => {
+                    let peer = &mut self.peers[p];
+                    match ctl {
+                        Ctl::Kill => {
+                            if !matches!(peer.state, State::Down | State::Done) {
+                                peer.go_down(&self.sh);
+                            }
+                        }
+                        Ctl::Restart => peer.come_up(&self.sh),
+                        Ctl::Stop => peer.stop(),
+                    }
+                }
+                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Disconnected) => {
+                    // The cluster handle is gone: nothing can ever
+                    // restart or stop these peers cleanly, so drain and
+                    // exit.
+                    for peer in &mut self.peers {
+                        if matches!(peer.state, State::Up | State::Down) {
+                            peer.stop();
+                        }
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Hands `poll`'s answers to the sockets they belong to; each
+    /// peer's next `step` acts on them.
+    fn mark_ready(&mut self) {
+        for (fd, slot) in self.fds.iter().zip(&self.slots) {
+            if fd.revents == 0 {
+                continue;
+            }
+            match *slot {
+                Slot::Wake => {
+                    if !self.wake.as_mut().is_some_and(drain_wake) {
+                        self.wake = None;
+                    }
+                }
+                Slot::Listener(p) => self.peers[p].accept_ready = true,
+                Slot::Inbound(p, k) => self.peers[p].inbound[k].ready = true,
+                Slot::Link(p, to) => {
+                    if let Some(conn) = self.peers[p]
+                        .links
+                        .get_mut(&to)
+                        .and_then(|link| link.conn.as_mut())
+                    {
+                        conn.writable = true;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Empties the wake socket; false once the cluster's end is closed.
+fn drain_wake(wake: &mut UnixStream) -> bool {
+    let mut buf = [0u8; 64];
+    loop {
+        match wake.read(&mut buf) {
+            Ok(0) => return false,
+            Ok(_) => continue,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return false,
+        }
+    }
+}
+
+/// `poll`'s timeout for a deadline: whole milliseconds, rounded up so
+/// the loop never wakes early and spins; -1 (block until a socket is
+/// ready) when nothing is due.
+fn timeout_ms(deadline: Option<Instant>) -> c_int {
+    deadline.map_or(-1, |d| {
+        let us = d.saturating_duration_since(Instant::now()).as_micros();
+        us.div_ceil(1000).min(c_int::MAX as u128) as c_int
+    })
+}
+
+/// The cluster's handle on one host loop.
+struct LoopHandle {
+    ctl: Sender<(usize, Ctl)>,
+    /// Write end of the loop's wake socket.
+    wake: UnixStream,
+    thread: JoinHandle<()>,
+}
+
+/// A population of peers on real TCP sockets, each behind its own
+/// loopback listener, hosted by `min(n, available_parallelism())`
+/// `poll(2)` loops on OS threads named `mqp-tcp-loop-<k>` — plus a
+/// connected [`TcpClient`] front-end at slot `n`.
 pub struct TcpCluster {
-    threads: Vec<JoinHandle<()>>,
-    ctls: Vec<Sender<Ctl>>,
+    loops: Vec<LoopHandle>,
     stats: Arc<Counters>,
     n: usize,
 }
 
 impl TcpCluster {
-    /// Spawns one socket-backed worker per peer with default tuning.
-    /// Peer `i` sits at node `i`; the [`TcpClient`] holds node `n`.
+    /// Spawns the host loops with default tuning. Peer `i` sits at node
+    /// `i`; the [`TcpClient`] holds node `n`.
     pub fn new(peers: Vec<Peer>) -> (TcpCluster, TcpClient) {
         Self::with_config(peers, TcpConfig::default())
     }
@@ -733,45 +1011,63 @@ impl TcpCluster {
         let (tx, rx) = channel();
         let stats = Arc::new(Counters::default());
         let epoch = Instant::now();
-        let mut ctls = Vec::with_capacity(n);
-        let threads = peers
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let mut hosted: Vec<Vec<Hosted>> = (0..n.min(cores)).map(|_| Vec::new()).collect();
+        let stride = hosted.len();
+        for (i, peer) in peers.into_iter().enumerate() {
+            let id = peer.id().clone();
+            let mut node = PeerNode::new(i, peer, Arc::clone(&directory));
+            node.set_retry(cfg.retry);
+            // Bind on the spawning thread so every peer is reachable
+            // the moment the constructor returns.
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
+            listener
+                .set_nonblocking(true)
+                .expect("nonblocking listener");
+            addrs.publish(i, listener.local_addr().expect("listener addr"));
+            hosted[i % stride].push(Hosted {
+                node,
+                me: i,
+                hello: encode_frame(&Frame::Hello { node: i, id }.encode()),
+                listener: Some(listener),
+                accept_ready: false,
+                inbound: Vec::new(),
+                links: HashMap::new(),
+                local: VecDeque::new(),
+                state: State::Up,
+            });
+        }
+        let loops = hosted
             .into_iter()
             .enumerate()
-            .map(|(i, peer)| {
-                let id = peer.id().clone();
-                let mut node = PeerNode::new(i, peer, Arc::clone(&directory));
-                node.set_retry(cfg.retry);
+            .map(|(k, peers)| {
                 let (ctl_tx, ctl_rx) = channel();
-                ctls.push(ctl_tx);
-                // Bind on the spawning thread so every peer is reachable
-                // the moment the constructor returns.
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
-                listener
-                    .set_nonblocking(true)
-                    .expect("nonblocking listener");
-                addrs.publish(i, listener.local_addr().expect("listener addr"));
-                let pt = PeerThread {
-                    node,
-                    me: i,
-                    addrs: addrs.clone(),
+                let (wake_tx, wake_rx) = UnixStream::pair().expect("wake socket pair");
+                wake_tx.set_nonblocking(true).expect("nonblocking wake");
+                wake_rx.set_nonblocking(true).expect("nonblocking wake");
+                let host = Loop {
+                    peers,
                     ctl: ctl_rx,
-                    outcomes: tx.clone(),
-                    stats: Arc::clone(&stats),
-                    cfg: cfg.clone(),
-                    hello: encode_frame(&Frame::Hello { node: i, id }.encode()),
-                    epoch,
-                    listener: Some(listener),
-                    inbound: Vec::new(),
-                    links: HashMap::new(),
-                    local: VecDeque::new(),
-                    down: false,
-                    stopping: false,
-                    last_activity: Instant::now(),
+                    wake: Some(wake_rx),
+                    sh: Shared {
+                        addrs: addrs.clone(),
+                        outcomes: tx.clone(),
+                        stats: Arc::clone(&stats),
+                        cfg: cfg.clone(),
+                        epoch,
+                    },
+                    fds: Vec::new(),
+                    slots: Vec::new(),
                 };
-                std::thread::Builder::new()
-                    .name(format!("mqp-tcp-{i}"))
-                    .spawn(move || pt.run())
-                    .expect("spawn tcp worker")
+                let thread = std::thread::Builder::new()
+                    .name(format!("mqp-tcp-loop-{k}"))
+                    .spawn(move || host.run())
+                    .expect("spawn tcp host loop");
+                LoopHandle {
+                    ctl: ctl_tx,
+                    wake: wake_tx,
+                    thread,
+                }
             })
             .collect();
         let client = TcpClient {
@@ -783,25 +1079,27 @@ impl TcpCluster {
             seen: HashSet::new(),
             connect_timeout: cfg.connect_timeout,
         };
-        (
-            TcpCluster {
-                threads,
-                ctls,
-                stats,
-                n,
-            },
-            client,
-        )
+        (TcpCluster { loops, stats, n }, client)
     }
 
-    /// Number of worker threads.
+    /// Number of peers.
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// True when the cluster has no workers.
+    /// True when the cluster has no peers.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Sends a control message to peer `i`'s loop and wakes the loop.
+    fn control(&self, i: NodeId, ctl: Ctl) {
+        let stride = self.loops.len();
+        let host = &self.loops[i % stride];
+        let _ = host.ctl.send((i / stride, ctl));
+        // A write that would block finds the wake socket full, which
+        // already guarantees a wake-up.
+        let _ = (&host.wake).write(&[1]);
     }
 
     /// Cuts peer `i` off the network (listener closed, connections
@@ -809,13 +1107,13 @@ impl TcpCluster {
     /// survives; a durable peer loses its in-memory catalog and keeps
     /// only what its disk carries.
     pub fn kill(&self, i: NodeId) {
-        let _ = self.ctls[i].send(Ctl::Kill);
+        self.control(i, Ctl::Kill);
     }
 
     /// Brings a killed peer back on a fresh port; a durable peer
     /// replays its WAL and re-registers surviving bindings first.
     pub fn restart(&self, i: NodeId) {
-        let _ = self.ctls[i].send(Ctl::Restart);
+        self.control(i, Ctl::Restart);
     }
 
     /// Socket accounting so far.
@@ -829,18 +1127,18 @@ impl TcpCluster {
         self.stats.queued.load(Ordering::Relaxed)
     }
 
-    /// Stops every worker — framed `stop`s first so each peer drains
+    /// Stops every peer — framed `stop`s first so each peer drains
     /// in-flight frames behind them in order, out-of-band stops as the
-    /// backstop for peers currently killed — and joins the threads.
-    pub fn shutdown(mut self, client: &mut TcpClient) -> SocketStats {
+    /// backstop for peers currently killed — and joins the host loops.
+    pub fn shutdown(self, client: &mut TcpClient) -> SocketStats {
         for i in 0..self.n {
             let _ = client.stop(i);
         }
-        for ctl in &self.ctls {
-            let _ = ctl.send(Ctl::Stop);
+        for i in 0..self.n {
+            self.control(i, Ctl::Stop);
         }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        for host in self.loops {
+            let _ = host.thread.join();
         }
         self.stats.snapshot()
     }
@@ -1055,6 +1353,7 @@ mod tests {
             [parse("<item><title>A</title><price>8</price></item>").unwrap()],
         );
         let (cluster, mut client) = TcpCluster::new(vec![solo]);
+        assert_eq!(cluster.loops.len(), 1, "never more loops than peers");
         let k = 8;
         for _ in 0..k {
             client.submit(0, &Plan::url("mqp://solo/"));
@@ -1065,6 +1364,49 @@ mod tests {
         let done = client.collect(k, Duration::from_millis(100));
         assert_eq!(done.len(), k, "outcomes lost at teardown");
         assert!(stats.frames_local >= k as u64);
+        assert!(stats.balances(0), "unbalanced: {stats:?}");
+    }
+
+    /// A frame that panics one peer's protocol core takes down that
+    /// peer alone, like a kill: its loop-mates keep serving and the
+    /// accounting identity still holds at shutdown.
+    #[test]
+    fn panicking_peer_takes_down_only_itself() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        // Peer `i` runs on loop `i % cores` once there are more peers
+        // than cores: the victim shares the client's loop (loop 0).
+        let victim = 4usize.div_ceil(cores) * cores;
+        let mut peers = world();
+        peers.extend((peers.len()..=victim).map(|i| Peer::new(format!("idle-{i}"), ns())));
+        let (cluster, mut client) = TcpCluster::new(peers);
+        assert_eq!(cluster.loops.len(), cores, "one host loop per core");
+
+        let addr = client.addrs.get(victim).expect("victim is up");
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let hello = Frame::Hello {
+            node: cluster.len(),
+            id: ServerId::new("intruder"),
+        };
+        raw.write_all(&encode_frame(&hello.encode())).unwrap();
+        raw.write_all(&encode_frame(b"\xffnot a frame")).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while client.addrs.get(victim).is_some() {
+            assert!(Instant::now() < deadline, "the bad frame never landed");
+            std::thread::yield_now();
+        }
+
+        let plan = Plan::select(
+            "price < 10",
+            Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
+        );
+        let qids: Vec<QueryId> = (0..4).map(|_| client.submit(0, &plan)).collect();
+        let done = client.collect(qids.len(), Duration::from_secs(10));
+        assert_eq!(done.len(), qids.len(), "a loop-mate stopped serving");
+        for q in &done {
+            assert!(q.failure.is_none(), "{:?}", q.failure);
+            assert_eq!(q.items.len(), 2);
+        }
+        let stats = cluster.shutdown(&mut client);
         assert!(stats.balances(0), "unbalanced: {stats:?}");
     }
 
@@ -1079,7 +1421,7 @@ mod tests {
                 break o;
             }
             assert!(Instant::now() < deadline, "query never completed");
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::yield_now();
         };
         assert_eq!(outcome.qid, qid);
         cluster.shutdown(&mut client);

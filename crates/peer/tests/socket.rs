@@ -6,11 +6,11 @@
 
 use std::time::Duration;
 
-use mqp_algebra::plan::Plan;
+use mqp_algebra::plan::{Plan, UrnRef};
 use mqp_catalog::durable::{DurableCatalog, MemDisk, SharedDisk};
 use mqp_catalog::CatalogEntry;
 use mqp_core::QueryId;
-use mqp_namespace::{Hierarchy, InterestArea, Namespace};
+use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
 use mqp_peer::node::RetryPolicy;
 use mqp_peer::tcp::{TcpCluster, TcpConfig};
 use mqp_peer::Peer;
@@ -194,6 +194,79 @@ fn durable_peer_recovers_registrations_across_kill_restart() {
         stats.balances(0),
         "unbalanced with rereg traffic: {stats:?}"
     );
+}
+
+/// [`world`] spread over more peers than there are host loops (at most
+/// one per core; peer `i` runs on loop `i % L`), laid out so that the
+/// client, the meta index and seller-0 share loop 0. Returns the peers
+/// and seller-0's index.
+fn crowded_world() -> (Vec<Peer>, usize) {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let seller_0 = 2 * cores;
+    let mut slots: Vec<Option<Peer>> = (0..seller_0 + 2).map(|_| None).collect();
+    for (peer, at) in world().into_iter().zip([0, cores, seller_0, seller_0 + 1]) {
+        slots[at] = Some(peer);
+    }
+    let peers = slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| slot.unwrap_or_else(|| Peer::new(format!("idle-{i}"), ns())))
+        .collect();
+    (peers, seller_0)
+}
+
+/// Killing and restarting a peer must not disturb the peers it shares a
+/// host loop with: the query's client and meta index keep serving
+/// through the outage (Or alternatives complete via the other seller),
+/// and the restarted seller serves again.
+#[test]
+fn loop_mate_churn_spares_the_rest_of_the_loop() {
+    let (peers, seller_0) = crowded_world();
+    let (cluster, mut client) = TcpCluster::with_config(peers, churn_config());
+    let or_plan = Plan::or([Plan::url("mqp://seller-0/"), Plan::url("mqp://seller-1/")]);
+    cluster.kill(seller_0);
+    settle();
+    let qids: Vec<QueryId> = (0..4).map(|_| client.submit(0, &or_plan)).collect();
+    let done = client.collect(qids.len(), Duration::from_secs(30));
+    assert_eq!(
+        done.len(),
+        qids.len(),
+        "a loop-mate of the killed peer stalled"
+    );
+    for q in &done {
+        assert!(q.failure.is_none(), "{:?}", q.failure);
+        assert_eq!(q.audit_clean, Some(true));
+        let titles: Vec<String> = q.items.iter().filter_map(|i| i.field("title")).collect();
+        assert_eq!(titles, ["B"], "answer must come from the live seller");
+    }
+
+    cluster.restart(seller_0);
+    let qid = client.submit(0, &Plan::url("mqp://seller-0/"));
+    let done = client.collect(1, Duration::from_secs(30));
+    assert_eq!(done.len(), 1, "restarted peer never served");
+    assert_eq!(done[0].qid, qid);
+    assert!(done[0].failure.is_none(), "{:?}", done[0].failure);
+    let titles: Vec<String> = done[0]
+        .items
+        .iter()
+        .filter_map(|i| i.field("title"))
+        .collect();
+    assert_eq!(titles, ["A"], "restarted seller must serve its own data");
+
+    // An area query binds at the meta index and reaches both sellers.
+    client.submit(0, &Plan::Urn(UrnRef::new(Urn::area(pdx_cds()))));
+    let done = client.collect(1, Duration::from_secs(30));
+    assert_eq!(done.len(), 1, "area query stranded");
+    assert!(done[0].failure.is_none(), "{:?}", done[0].failure);
+    let mut titles: Vec<String> = done[0]
+        .items
+        .iter()
+        .filter_map(|i| i.field("title"))
+        .collect();
+    titles.sort();
+    assert_eq!(titles, ["A", "B"], "meta index must bind both sellers");
+    let stats = cluster.shutdown(&mut client);
+    assert!(stats.balances(0), "unbalanced: {stats:?}");
 }
 
 /// With a finite reconnect budget, frames for a peer that never comes
